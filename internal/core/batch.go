@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"sort"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/tsc"
 )
@@ -55,8 +56,18 @@ type batchEntry[K cmp.Ordered, V any] struct {
 // final version is assigned. remaining counts the entries not yet applied;
 // helpers process entries strictly from the highest key downward (rule 3).
 type batchDesc[K cmp.Ordered, V any] struct {
-	version   atomic.Int64
-	entries   []batchEntry[K, V] // ascending by key, unique keys
+	version atomic.Int64
+
+	// first and n publish the normalized entries (ascending by key, unique
+	// keys) as a pointer to the first element plus a count — atomic
+	// without a second allocation per batch — so the owner can hand them
+	// off once the batch has committed and its batchGC has run
+	// (dropEntries). Every batch revision keeps its
+	// descriptor for as long as the revision is reachable; without the
+	// handoff a surviving revision would pin every key and value of the
+	// whole batch. A helper that loads nil finds nothing left to apply.
+	first     atomic.Pointer[batchEntry[K, V]]
+	n         int
 	remaining atomic.Int64
 
 	// group, when non-nil, makes this descriptor one part of a cross-map
@@ -67,6 +78,31 @@ type batchDesc[K cmp.Ordered, V any] struct {
 	// pinning every sibling shard's entries and maps.
 	group atomic.Pointer[batchGroup[K, V]]
 }
+
+// newBatchDesc returns a descriptor over normalized, non-empty entries with
+// every entry still to apply; the caller sets the optimistic version.
+func newBatchDesc[K cmp.Ordered, V any](entries []batchEntry[K, V]) *batchDesc[K, V] {
+	d := &batchDesc[K, V]{n: len(entries)}
+	d.first.Store(&entries[0])
+	d.remaining.Store(int64(len(entries)))
+	return d
+}
+
+// entries returns the batch's normalized entries, or nil once the owner has
+// dropped them (the batch has then committed).
+func (d *batchDesc[K, V]) entries() []batchEntry[K, V] {
+	p := d.first.Load()
+	if p == nil {
+		return nil
+	}
+	return unsafe.Slice(p, d.n)
+}
+
+// dropEntries releases the entries of a committed batch whose batchGC has
+// run. Only the owner calls it: helpers still in flight keep the slice they
+// loaded, and any later helper sees a final version (or no entries) and
+// applies nothing.
+func (d *batchDesc[K, V]) dropEntries() { d.first.Store(nil) }
 
 // ver reads the descriptor's current version number, indirecting through
 // the group's shared cell for cross-map batches.
@@ -198,9 +234,8 @@ outer:
 		if a.m.clock != clock {
 			panic("core: MultiBatchUpdate requires all maps to share one Clock")
 		}
-		desc := &batchDesc[K, V]{entries: normalizeBatch(a.ops)}
+		desc := newBatchDesc(normalizeBatch(a.ops))
 		desc.group.Store(g)
-		desc.remaining.Store(int64(len(desc.entries)))
 		g.parts = append(g.parts, groupPart[K, V]{m: a.m, desc: desc})
 	}
 	g.version.Store(-(clock.Read() + 1))
@@ -214,15 +249,16 @@ outer:
 	}
 	epochExit(slot, epoch)
 	// Release: cache the final version in every descriptor, then drop the
-	// cross-map references. A batch revision surviving in some shard's
-	// history afterwards pins only its own descriptor's entries — parity
-	// with single-map batches — instead of every sibling shard's entries
-	// and map. Readers racing this see either the group (whose version is
-	// final) or the cached version; each descriptor's version is stored
-	// strictly before its group pointer is cleared.
+	// cross-map references and the entries. A batch revision surviving in
+	// some shard's history afterwards pins neither its sibling shards'
+	// entries and maps nor its own batch's entries. Readers racing this
+	// see either the group (whose version is final) or the cached
+	// version; each descriptor's version is stored strictly before its
+	// group pointer is cleared.
 	for _, p := range g.parts {
 		p.desc.version.Store(fin)
 		p.desc.group.Store(nil)
+		p.desc.dropEntries()
 	}
 	return fin
 }
@@ -248,12 +284,12 @@ func (m *Map[K, V]) BatchUpdateVersioned(b *Batch[K, V]) int64 {
 	}
 	slot, epoch := epochEnter()
 	defer epochExit(slot, epoch)
-	desc := &batchDesc[K, V]{entries: entries}
+	desc := newBatchDesc(entries)
 	desc.version.Store(-(m.clock.Read() + 1))
-	desc.remaining.Store(int64(len(entries)))
 	m.applyBatchDesc(desc)
 	ver := m.finalizeDesc(desc)
 	m.batchGC(desc)
+	desc.dropEntries()
 	return ver
 }
 
@@ -317,9 +353,10 @@ func (m *Map[K, V]) helpBatch(desc *batchDesc[K, V]) {
 //     node through the present, so this find either sees that node (and
 //     skips) or the head CAS fails against the intervening change.
 func (m *Map[K, V]) applyBatchDesc(desc *batchDesc[K, V]) {
+	entries := desc.entries()       // nil: committed and released, nothing to do
 	cursor := desc.remaining.Load() // entries[cursor:] are already applied
-	for cursor > 0 {
-		topKey := desc.entries[cursor-1].key
+	for cursor > 0 && entries != nil {
+		topKey := entries[cursor-1].key
 		nd := m.findNodeForKey(topKey)
 		if nd.kind == nodeTempSplit {
 			m.helpSplit(nd.parent, nd.lrev)
@@ -337,7 +374,7 @@ func (m *Map[K, V]) applyBatchDesc(desc *batchDesc[K, V]) {
 			m.helpMergeTerminator(headRev)
 			continue
 		}
-		lo := batchRunStart(desc.entries[:cursor], nd)
+		lo := batchRunStart(entries[:cursor], nd)
 		if headRev.desc == desc {
 			// Already applied here (fact 1); skip the node's run.
 			desc.remaining.CompareAndSwap(cursor, lo)
@@ -352,7 +389,7 @@ func (m *Map[K, V]) applyBatchDesc(desc *batchDesc[K, V]) {
 			continue
 		}
 
-		run := desc.entries[lo:cursor]
+		run := entries[lo:cursor]
 		pl := m.applyBatchPl(headRev, run)
 
 		if m.shouldSplit(headRev, len(pl.keys)) {
@@ -444,9 +481,10 @@ func commitVersion(cell *atomic.Int64, clock tsc.Clock) int64 {
 // operations (including the per-node prune trylock that makes payload
 // retirement sound; a busy node is simply skipped).
 func (m *Map[K, V]) batchGC(desc *batchDesc[K, V]) {
+	entries := desc.entries()
 	i := 0
-	for i < len(desc.entries) {
-		key := desc.entries[i].key
+	for i < len(entries) {
+		key := entries[i].key
 		nd := m.findNodeForKey(key)
 		if nd.kind == nodeTempSplit {
 			m.helpSplit(nd.parent, nd.lrev)
@@ -464,6 +502,6 @@ func (m *Map[K, V]) batchGC(desc *batchDesc[K, V]) {
 		if next == nil {
 			return
 		}
-		i = searchEntries(desc.entries, next.key)
+		i = searchEntries(entries, next.key)
 	}
 }

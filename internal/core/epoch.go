@@ -43,7 +43,7 @@ import (
 //     again before the epoch reaches e+3.
 //
 // Epoch advancing is lazy and opportunistic: retiring threads attempt it
-// when their limbo shard grows (recycler.retire). A failed attempt is free;
+// when their limbo shard grows (recycler.retireMany). A failed attempt is free;
 // a stalled advance (a long-running scan holding a pin) only delays reuse,
 // never correctness — limbo buffers are ordinary heap objects the Go GC
 // can reclaim if the process drops the map.

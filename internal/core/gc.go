@@ -13,9 +13,11 @@ import (
 // the newest one (the head of the chain being pruned) or it is the newest
 // revision visible to some registered snapshot — everything else is snipped
 // out mid-chain. Unlike the Java original, which delegates all reclamation
-// to the JVM, pruned revisions' payload buffers are retired into the
-// epoch-gated recycler (recycle.go) so the next updates reuse them instead
-// of allocating.
+// to the JVM, pruned revisions are retired into the epoch-gated recycler
+// (recycle.go) so the next updates reuse their payload buffers instead of
+// allocating, and so a pointer-bearing map's pruned revisions — which stay
+// reachable through skip pointers and frozen next chains (seek.go) — stop
+// pinning dead keys and values once no reader can see them.
 //
 // Recycling is only sound if an unlink is definitive — a concurrent pruner
 // of the same chain could otherwise re-store a pointer to a revision whose
@@ -89,10 +91,10 @@ func (m *Map[K, V]) pruneNodeChain(nd *node[K, V], head *revision[K, V]) {
 			m.pruneRevList(head, horizon, snaps, pinFloor, &rs)
 		}
 		nd.gcBusy.Store(false)
-		// Hand the claimed payloads to the recycler only now: the flag is
-		// free, every unlink has committed, and the retire path's locks
-		// and drains run outside the prune's critical section.
-		m.rec.retireMany(rs.pls[:rs.n])
+		// Hand the claimed revisions to the recycler only now: the flag
+		// is free, every unlink has committed, and the retire path's
+		// locks and drains run outside the prune's critical section.
+		m.rec.retireMany(rs.revs[:rs.n])
 		// Catch up on growth that skipped past us while we held the flag
 		// (bounded: each round starts from the then-current head).
 		if attempt >= 8 || !nd.gcWant.Load() || nd.terminated.Load() {
@@ -154,35 +156,35 @@ func anySnapBelow(snaps []int64, hi int64) bool {
 	return len(snaps) > 0 && snaps[0] < hi
 }
 
-// retireSet collects, across one GC pass, the payloads of every revision
-// the prune dropped. The collector is handed to the recycler only after
-// the pass releases its gcBusy flags: first, every unlink store has then
-// committed, so the epoch tag taken at hand-off covers every reader that
-// could still reach the buffers; second, the retire path's stripe mutex
-// and limbo drains stay out of the prune's critical section — a pruner
+// retireSet collects, across one GC pass, every revision the prune dropped
+// and claimed. The collector is handed to the recycler only after the pass
+// releases its gcBusy flags: first, every unlink store has then committed,
+// so the epoch tag taken at hand-off covers every reader that could still
+// reach the revisions' arrays; second, the retire path's stripe mutex and
+// limbo drains stay out of the prune's critical section — a pruner
 // descheduled while holding gcBusy would otherwise block a node's pruning
 // for whole scheduling rounds while updates pile up revisions.
 //
 // Claiming (the reclaimed CAS) happens at drop-decision time; that only
-// assigns ownership, the payload enters circulation at hand-off. Fixed
+// assigns ownership, the revision enters the limbo at hand-off. Fixed
 // capacity: prunes seldom drop more than a handful of revisions, and
 // overflow merely leaves the excess to Go's GC.
 type retireSet[K cmp.Ordered, V any] struct {
-	pls [64]*payload[K, V]
-	n   int
+	revs [64]*revision[K, V]
+	n    int
 }
 
 // add claims r for this collector if it is retire-eligible: a regular,
-// unshared revision with a pooled payload, not yet claimed by anyone.
+// unshared revision with a payload, not yet claimed by anyone.
 func (s *retireSet[K, V]) add(r *revision[K, V]) {
-	if s == nil || s.n == len(s.pls) {
+	if s == nil || s.n == len(s.revs) {
 		return
 	}
-	if r.kind != revRegular || r.pl == nil || r.pl.class == 0 || r.shared() {
+	if r.kind != revRegular || r.pl == nil || r.shared() {
 		return
 	}
 	if r.reclaimed.CompareAndSwap(false, true) {
-		s.pls[s.n] = r.pl
+		s.revs[s.n] = r
 		s.n++
 	}
 }

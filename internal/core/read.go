@@ -65,17 +65,29 @@ func (m *Map[K, V]) get(key K, snap int64) (V, bool) {
 // getNewestRevision walks the revision list and returns the first revision
 // from a completed update (positive version). Merge revisions route the
 // walk into the branch that owns key (Algorithm 2, lines 25-34).
+//
+// A walk that ends at nil re-reads the pending revision it last stepped
+// past. Pruning only cuts the chain below a committed revision, so a nil
+// successor under a revision that was pending a moment ago means that
+// revision's update committed and its GC cut the chain in between — the
+// skipped revision is then the newest committed state, and the lookup
+// linearizes just after its commit. Reporting the key absent there would be
+// a false miss.
 func (m *Map[K, V]) getNewestRevision(headRev *revision[K, V], key K) *revision[K, V] {
-	rev := headRev
-	for rev != nil {
+	var skipped *revision[K, V]
+	for rev := headRev; rev != nil; {
 		if rev.ver() > 0 {
 			return redirectSplit(rev, key)
 		}
+		skipped = rev
 		if rev.kind == revMerge && key >= rev.rightKey {
 			rev = rev.rightNext.Load()
 		} else {
 			rev = rev.next.Load()
 		}
+	}
+	if skipped != nil && skipped.ver() > 0 {
+		return redirectSplit(skipped, key)
 	}
 	return nil
 }

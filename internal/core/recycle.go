@@ -107,10 +107,13 @@ func reserveCap(class int) int {
 	return c
 }
 
-// limboItem is one retired payload awaiting its reuse epoch.
+// limboItem is one retired payload awaiting its reuse epoch, plus — for
+// pointer-bearing maps — the retired revision whose arrays are released at
+// the same epoch.
 type limboItem[K cmp.Ordered, V any] struct {
 	epoch uint64
 	pl    *payload[K, V]
+	rev   *revision[K, V]
 }
 
 // limboShard is one stripe of a recycler's retirement backlog. nextDrain is
@@ -133,14 +136,21 @@ type recycler[K cmp.Ordered, V any] struct {
 	// fuseKeys/fuseVals: the element type is pointer-free, so its buffer
 	// is part of the fused, recyclable unit. Pointer-bearing components
 	// (string keys, pointer or struct-with-pointer values) are allocated
-	// fresh per revision and never parked: a retired buffer full of
-	// pointers would sit in the limbo pinning dead entries and being
-	// re-scanned by the garbage collector every cycle, which costs more
-	// than the allocation it saves. Pooled buffers are therefore always
-	// pointer-free (noscan spans), making the pools and limbo nearly
-	// invisible to the GC.
+	// fresh per revision and never pooled: a parked buffer full of
+	// pointers would pin dead entries and be re-scanned by the garbage
+	// collector every cycle, which costs more than the allocation it
+	// saves. Pooled buffers are therefore always pointer-free (noscan
+	// spans), making the pools nearly invisible to the GC.
+	//
+	// release (either component is pointer-bearing) makes the limbo park
+	// the retired revision alongside its payload: pruned revision structs
+	// stay reachable through skip pointers and frozen next chains
+	// (seek.go), so once the epoch matures the revision's pointer-bearing
+	// slice headers are cleared and the arrays behind them — with every
+	// key and value they reference — become garbage.
 	fuseKeys bool
 	fuseVals bool
+	release  bool
 	keySize  uintptr
 	valSize  uintptr
 	pools    []sync.Pool
@@ -166,6 +176,7 @@ func newRecycler[K cmp.Ordered, V any](disabled, withHash bool) *recycler[K, V] 
 		reserves: make([]classReserve[K, V], numPayloadClasses),
 		limbo:    make([]limboShard[K, V], epochStripes),
 	}
+	rc.release = !rc.fuseKeys || !rc.fuseVals
 	for i := range rc.reserves {
 		rc.reserves[i].items = make([]*payload[K, V], 0, reserveCap(payloadMinClass<<i))
 	}
@@ -286,36 +297,16 @@ func (rc *recycler[K, V]) recycleNow(pl *payload[K, V]) {
 	rc.put(pl)
 }
 
-// retire parks a pruned revision's payload in the limbo until the epoch
-// advances past every reader that could still hold the revision. The caller
-// must have definitively unlinked the revision first (exclusive per-node
-// prune, gc.go) — the epoch tag is read after the unlink, so any reader
-// able to reach the buffers is pinned at an epoch <= the tag.
-func (rc *recycler[K, V]) retire(pl *payload[K, V]) {
-	rc.retireMany([]*payload[K, V]{pl})
-}
-
-// retireMany parks a batch of retired payloads with one stripe lock — the
-// inner GC's prune hands over everything it dropped at a node in one call.
-// Payloads must already be definitively unlinked (see retire's contract).
-func (rc *recycler[K, V]) retireMany(pls []*payload[K, V]) {
-	if rc.disabled || len(pls) == 0 {
+// retireMany parks a batch of pruned revisions in the limbo with one stripe
+// lock — the inner GC's prune hands over everything it dropped at a node in
+// one call — until the epoch advances past every reader that could still
+// hold them. The caller must have definitively unlinked the revisions first
+// (exclusive per-node prune, gc.go): the epoch tag is read after the
+// unlink, so any reader able to reach the arrays is pinned at an epoch <=
+// the tag.
+func (rc *recycler[K, V]) retireMany(revs []*revision[K, V]) {
+	if rc.disabled || len(revs) == 0 {
 		return
-	}
-	// Drop pointer-bearing components before parking: readers reach the
-	// buffers through the revision's own slice headers, never through the
-	// payload struct, so the arrays stay alive exactly as long as the
-	// revision itself — and the limbo parks only pointer-free (noscan)
-	// memory the garbage collector never has to walk.
-	if !rc.fuseKeys {
-		for _, pl := range pls {
-			pl.keys = nil
-		}
-	}
-	if !rc.fuseVals {
-		for _, pl := range pls {
-			pl.vals = nil
-		}
 	}
 	e := epochClock.Load()
 	sh := &rc.limbo[int(rand.Uint64())&(epochStripes-1)]
@@ -323,8 +314,11 @@ func (rc *recycler[K, V]) retireMany(pls []*payload[K, V]) {
 	if sh.nextDrain == 0 {
 		sh.nextDrain = limboDrainLen
 	}
-	for _, pl := range pls {
-		if pl.class == 0 {
+	for _, r := range revs {
+		it := limboItem[K, V]{epoch: e, pl: r.pl}
+		if rc.release {
+			it.rev = r
+		} else if r.pl.class == 0 {
 			continue // unpooled (oversized) buffer: Go's GC owns it
 		}
 		if len(sh.items) >= limboMaxLen {
@@ -332,7 +326,7 @@ func (rc *recycler[K, V]) retireMany(pls []*payload[K, V]) {
 			// growing (and rescanning) the backlog without bound.
 			break
 		}
-		sh.items = append(sh.items, limboItem[K, V]{epoch: e, pl: pl})
+		sh.items = append(sh.items, it)
 	}
 	// Drain when the backlog crosses its escalating threshold, or when the
 	// epoch has moved two steps past the oldest parked buffer (so a capped
@@ -346,14 +340,30 @@ func (rc *recycler[K, V]) retireMany(pls []*payload[K, V]) {
 }
 
 // drainShard moves the shard's matured buffers (retired at epoch e with
-// e+2 <= now) into the free pools and escalates the shard's next drain
-// trigger past whatever could not be freed yet.
+// e+2 <= now) into the free pools, releases matured revisions' pointer-
+// bearing arrays, and escalates the shard's next drain trigger past
+// whatever could not be freed yet.
+//
+// Releasing is one store per array, not a clear: no reader can reach a
+// matured revision's arrays any more (the same argument that lets its
+// buffers be reused), so dropping the slice header is enough to make them
+// — and the keys and values they reference — garbage. Skip and next
+// pointers are untouched; the frozen paths through the revision stay
+// intact for the version reads that still walk them.
 func (rc *recycler[K, V]) drainShard(sh *limboShard[K, V], now uint64) {
 	sh.mu.Lock()
 	items := sh.items
 	w := 0
 	for _, it := range items {
 		if it.epoch+2 <= now {
+			if r := it.rev; r != nil {
+				if !rc.fuseKeys {
+					r.keys = nil
+				}
+				if !rc.fuseVals {
+					r.vals = nil
+				}
+			}
 			rc.put(it.pl)
 		} else {
 			items[w] = it

@@ -22,9 +22,13 @@ const (
 // lock-free protocol. Payload fields (keys, vals, hashes, slots — views
 // into pl's fused buffers — and the structural constants kind, sibling,
 // splitKey, rightKey, node, prevRev, remKey, remHasKey, desc) are written
-// before the revision is published via CAS and never change afterwards.
-// Only version, next, rightNext, splitDone, mergeRev, shared, reclaimed and
-// the autoscaler stats mutate after publication, all through atomics.
+// before the revision is published via CAS and never change while any
+// reader can reach them. Only version, next, rightNext, splitDone,
+// mergeRev, shared, reclaimed and the autoscaler stats mutate after
+// publication, all through atomics — plus one exception: a retired
+// revision's pointer-bearing keys/vals headers are set to nil once its
+// retirement epoch has matured (recycle.go drainShard), when no reader can
+// read them any more.
 type revision[K cmp.Ordered, V any] struct {
 	kind revKind
 
@@ -38,8 +42,9 @@ type revision[K cmp.Ordered, V any] struct {
 	// is the lightweight hash index (2 slots per bucket, §3.3.5), nil
 	// when the index is disabled or the revision is empty. pl is the
 	// fused allocation backing all four slices (nil for empty revisions
-	// and test-constructed ones); the inner GC retires it through the
-	// epoch-gated recycler once the revision is pruned.
+	// and test-constructed ones); the inner GC retires the revision
+	// through the epoch-gated recycler once it is pruned, which recycles
+	// pl and, for pointer-bearing maps, releases keys and vals.
 	keys   []K
 	vals   []V
 	hashes []uint16
@@ -57,7 +62,7 @@ type revision[K cmp.Ordered, V any] struct {
 	sharedCnt atomic.Int32
 
 	// reclaimed guards retirement: the first pruner to claim it owns the
-	// payload's trip through the recycler.
+	// revision's trip through the limbo.
 	reclaimed atomic.Bool
 
 	// next is the (left) successor in the revision list.

@@ -31,8 +31,9 @@ package core
 //     optimistic value.
 //   - Skip pointers may lead into revisions the GC has already unlinked
 //     ("frozen" paths). That is harmless: revision structs are never
-//     recycled (only payload buffers are), and intermediate hops read
-//     only version fields and chain pointers. The first *visible*
+//     recycled (only payload buffers are, and a pointer-bearing map's
+//     arrays are released), and intermediate hops read only version
+//     fields and chain pointers — never keys or values. The first *visible*
 //     revision reached on any frozen path is provably the live boundary:
 //     a dropped revision d with d.ver <= v had, at drop time, a kept
 //     revision k with d.ver < k.ver <= v above it (otherwise the GC's
@@ -50,8 +51,14 @@ package core
 // *structs* — the frozen path from its target down to the next live
 // revision (dropped revisions' next pointers are deliberately never
 // severed; the frozen-path lemma above depends on them). The retained
-// shells are payload-free (their buffers were recycled at retirement) and
-// the retention is transient — the web becomes unreachable when the
+// shells hold no live payload once their retirement epoch has matured: a
+// pointer-free map has recycled their buffers, a pointer-bearing map has
+// cleared their keys/vals headers (recycle.go drainShard), so the dead
+// entries they referenced are garbage. Revisions the inner GC leaves to Go's
+// collector (shared pre-split heads, non-regular revisions, limbo
+// overflow, DisableRecycling) keep their arrays while reachable. The
+// retention of the shells themselves is transient — the web becomes
+// unreachable when the
 // retaining revision is itself pruned — but in the worst case (a long
 // pinned chain released at once) one GC pass can leave a whole dropped
 // segment, O(chain at drop time), reachable until the next prune of that

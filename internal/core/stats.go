@@ -38,6 +38,10 @@ type Stats struct {
 // Stats walks the structure concurrently with other operations; the numbers
 // are a consistent-enough sample, not a snapshot.
 func (m *Map[K, V]) Stats() Stats {
+	// Pin the epoch: a head read here may be pruned and retired mid-walk,
+	// and its arrays must not be released before its size is read.
+	slot, epoch := epochEnter()
+	defer epochExit(slot, epoch)
 	var s Stats
 	s.MinRevisionSize = int(^uint(0) >> 1)
 	for nd := m.base; nd != nil; nd = nd.next.Load() {

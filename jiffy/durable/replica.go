@@ -260,8 +260,9 @@ func (r *Replica[K, V]) Watermark() int64 { return r.watermark.Load() }
 func (r *Replica[K, V]) Promoted() bool { return r.promoted.Load() }
 
 // ApplyRecord applies one primary log record — ver is its commit version,
-// payload its operation list in the WAL record encoding — and appends it
-// to the local log at the same version. Records at or below the watermark
+// payload its operation list in the WAL record encoding — and appends the
+// payload as received to the local log at the same version (it already is
+// the record the local log would write). Records at or below the watermark
 // (resume overlap) are skipped. The caller (internal/repl's runner) must
 // apply records in ascending version order and only up to the primary's
 // frontier; AdvanceTo then publishes the new watermark.
@@ -297,7 +298,7 @@ func (r *Replica[K, V]) ApplyRecord(ver int64, payload []byte) error {
 			wi = i
 		}
 	}
-	return appendRecord(d.wals[wi], ver, ops, r.codec)
+	return d.wals[wi].Append(ver, payload)
 }
 
 // AdvanceTo raises the watermark to frontier — the primary's guarantee
