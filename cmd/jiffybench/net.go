@@ -3,11 +3,9 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"net"
 	"os"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/harness"
@@ -25,31 +23,24 @@ import (
 // jiffy/client) over loopback TCP: throughput as the client connection
 // pool grows 1→256, with pipelined multiplexing on and off, and the
 // batch-amortization effect of shipping 10- and 100-op atomic batches as
-// one frame instead of ten or a hundred. The sweep runs against BOTH
-// serving cores — the sharded event loops and the goroutine-per-connection
-// fallback — so the committed numbers show what the event-loop rewrite
-// bought at each pool size, and a parity pass cross-checks that a
-// deterministic workload leaves both cores with bit-identical store
-// contents (any divergence exits nonzero; CI runs this as a smoke test).
-// By default it starts an in-process jiffyd-equivalent server on
-// 127.0.0.1:0 (uint64 keys, 100-byte payload values, harness.ShardCount
-// shards) so the whole measurement is self-contained; -netaddr points it
-// at an external server instead (single sweep, no mode control, no
-// parity). Results land in a BENCH_*.json file (BENCH_0006.json is the
-// committed instance; BENCH_0005.json predates the mode sweep).
+// one frame instead of ten or a hundred. By default it starts an
+// in-process jiffyd-equivalent server on 127.0.0.1:0 (uint64 keys,
+// 100-byte payload values, harness.ShardCount shards) so the whole
+// measurement is self-contained; -netaddr points it at an external server
+// instead. Results land in a BENCH_*.json file (BENCH_0005.json is the
+// first committed instance; BENCH_0006.json and BENCH_0007.json also
+// carry per-core rows from when the server had two serving cores).
 
 // netFile is the -net JSON schema.
 type netFile struct {
-	Kind       string   `json:"kind"` // always "net"
-	GOMAXPROCS int      `json:"gomaxprocs"`
-	Shards     int      `json:"shards"`
-	Threads    int      `json:"threads"`
-	KeySpace   uint64   `json:"keyspace"`
-	Prefill    int      `json:"prefill"`
-	Duration   string   `json:"duration"`
-	When       string   `json:"when"`
-	Modes      []string `json:"modes,omitempty"`
-	Parity     string   `json:"parity,omitempty"` // "ok" when both cores converged
+	Kind       string `json:"kind"` // always "net"
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Shards     int    `json:"shards"`
+	Threads    int    `json:"threads"`
+	KeySpace   uint64 `json:"keyspace"`
+	Prefill    int    `json:"prefill"`
+	Duration   string `json:"duration"`
+	When       string `json:"when"`
 	// Trace marks a tracing A/B run (-trace): every sweep point was
 	// measured against a tracing-free server (A) and a server running the
 	// flight recorder with clients sampling trace IDs at TraceSample (B),
@@ -69,7 +60,6 @@ type netFile struct {
 // actually driving the point — max(-netthreads, conns), so wide pools are
 // not throttled by a narrow driver.
 type netPoint struct {
-	Mode      string  `json:"mode"`
 	Conns     int     `json:"conns"`
 	Threads   int     `json:"threads"`
 	Pipelined bool    `json:"pipelined"`
@@ -84,7 +74,6 @@ type netPoint struct {
 // connections, pipelined): ops per second counted in basic operations, so
 // the amortization of frame and round-trip overhead shows directly.
 type netBatchPt struct {
-	Mode      string  `json:"mode"`
 	Batch     string  `json:"batch"`
 	Conns     int     `json:"conns"`
 	TotalMops float64 `json:"total_mops"`
@@ -107,18 +96,16 @@ func netCodec() durable.Codec[uint64, *harness.Payload] {
 	return durable.Codec[uint64, *harness.Payload]{Key: durable.Uint64Enc(), Value: netPayloadEnc()}
 }
 
-// startNetServer starts the in-process loopback server in the given mode,
-// prefilled directly (the dataset is the same either way and skipping the
+// startNetServer starts the in-process loopback server, prefilled directly (the dataset is the same either way and skipping the
 // network keeps setup fast). With tracing the server gets a registered
-// flight recorder, exactly as jiffyd runs it. Returns the server and its
-// address.
-func startNetServer(mode server.Mode, base harness.Config, tracing bool) (*server.Server[uint64, *harness.Payload], string) {
+// flight recorder, exactly as jiffyd runs it.
+func startNetServer(base harness.Config, tracing bool) *server.Server[uint64, *harness.Payload] {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "net bench: listen: %v\n", err)
 		os.Exit(1)
 	}
-	opts := server.Options{Mode: mode}
+	var opts server.Options
 	if tracing {
 		rec := trace.NewRecorder(0)
 		rec.RegisterMetrics(obs.NewRegistry())
@@ -127,7 +114,7 @@ func startNetServer(mode server.Mode, base harness.Config, tracing bool) (*serve
 	s := jiffy.NewSharded[uint64, *harness.Payload](harness.ShardCount)
 	srv := server.Serve(ln, server.NewMemStore(s), netCodec(), opts)
 	harness.Prefill[uint64, *harness.Payload](&index.ShardedJiffy[uint64, *harness.Payload]{S: s}, base, harness.KeyA, harness.ValA)
-	return srv, srv.Addr().String()
+	return srv
 }
 
 // measureNetPoint runs one sweep measurement. A traced run reproduces a
@@ -151,13 +138,13 @@ func measureNetPoint(addr string, conns int, pipelined, traced bool, sampleRate 
 	return res
 }
 
-// sweepOne runs the conns sweep and the batch-amortization points against
-// addr, tagging every result with mode. With a non-empty addrTraced every
+// sweep runs the conns sweep and the batch-amortization points against
+// addr. With a non-empty addrTraced every
 // sweep point is measured four times in A·B·B·A order — A against addr
 // (no tracing anywhere), B against addrTraced (flight recorder serving,
 // clients sampling trace IDs) — and lands as two averaged points, so
 // drift between runs cancels out of the traced-vs-untraced comparison.
-func sweepOne(out *netFile, mode, addr, addrTraced string, connsList []int, threads int, base harness.Config, sampleRate float64) {
+func sweep(out *netFile, addr, addrTraced string, connsList []int, threads int, base harness.Config, sampleRate float64) {
 	traceAB := addrTraced != ""
 	base.Mix = workload.MixUpdateLookup
 	for _, conns := range connsList {
@@ -195,7 +182,6 @@ func sweepOne(out *netFile, mode, addr, addrTraced string, connsList []int, thre
 				}
 				mean := mops[i] / float64(runs[i])
 				pt := netPoint{
-					Mode:      mode,
 					Conns:     conns,
 					Threads:   ptThreads,
 					Pipelined: pipelined,
@@ -208,8 +194,8 @@ func sweepOne(out *netFile, mode, addr, addrTraced string, connsList []int, thre
 					pt.Runs = runs[i]
 				}
 				out.Sweep = append(out.Sweep, pt)
-				fmt.Printf("net   %-9s %-3s conns=%-3d pipelined=%-5v traced=%-5v threads=%-3d total=%8.3f Mops/s\n",
-					mode, cfg.Mix.Name, conns, pipelined, traced, ptThreads, mean)
+				fmt.Printf("net   %-3s conns=%-3d pipelined=%-5v traced=%-5v threads=%-3d total=%8.3f Mops/s\n",
+					cfg.Mix.Name, conns, pipelined, traced, ptThreads, mean)
 			}
 		}
 	}
@@ -229,30 +215,21 @@ func sweepOne(out *netFile, mode, addr, addrTraced string, connsList []int, thre
 	}
 	for _, size := range []int{1, 10, 100} {
 		bcfg.Batch = workload.BatchMode{Size: size}
-		c, err := client.Dial(addr, netCodec(), client.Options{Conns: maxConns})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "net bench: dial: %v\n", err)
-			os.Exit(1)
-		}
-		idx := index.NewNetJiffy(c)
-		res := harness.Run[uint64, *harness.Payload](idx, bcfg, harness.KeyA, harness.ValA)
-		idx.Close()
+		res := measureNetPoint(addr, maxConns, true, false, 0, bcfg)
 		out.Batch = append(out.Batch, netBatchPt{
-			Mode:      mode,
 			Batch:     bcfg.Batch.String(),
 			Conns:     maxConns,
 			TotalMops: res.TotalMops(),
 			TotalOps:  res.TotalOps,
 		})
-		fmt.Printf("net   %-9s w   batch=%-7s conns=%-3d threads=%-3d total=%8.3f Mops/s\n",
-			mode, bcfg.Batch.String(), maxConns, bcfg.Threads, res.TotalMops())
+		fmt.Printf("net   w   batch=%-7s conns=%-3d threads=%-3d total=%8.3f Mops/s\n",
+			bcfg.Batch.String(), maxConns, bcfg.Threads, res.TotalMops())
 	}
 }
 
 // runNet executes the serving-layer measurements and returns the file to
-// serialize. addr == "" sweeps both serving cores over in-process loopback
-// servers and cross-checks their final contents; an external addr is
-// measured as-is.
+// serialize. addr == "" sweeps an in-process loopback server; an external
+// addr is measured as-is.
 func runNet(addr string, connsList []int, threads int, keyspace uint64, prefill int, duration time.Duration, seed uint64, traceAB bool, sampleRate float64) *netFile {
 	out := &netFile{
 		Kind:       "net",
@@ -278,8 +255,11 @@ func runNet(addr string, connsList []int, threads int, keyspace uint64, prefill 
 		Dist:     workload.Uniform,
 	}
 
+	addrTraced := ""
 	if addr != "" {
-		// External server: prefill through the wire, single sweep.
+		// External server: prefill through the wire. It can't be
+		// restarted with tracing on and off, so a tracing A/B measures
+		// the client-side cost only.
 		c, err := client.Dial(addr, netCodec(), client.Options{Conns: 4})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "net bench: dial %s: %v\n", addr, err)
@@ -288,51 +268,24 @@ func runNet(addr string, connsList []int, threads int, keyspace uint64, prefill 
 		harness.Prefill[uint64, *harness.Payload](index.NewNetJiffy(c), base, harness.KeyA, harness.ValA)
 		c.Close()
 		fmt.Printf("# net bench: external server %s (prefill %d over the wire)\n", addr, prefill)
-		out.Modes = []string{"external"}
-		// An external server can't be restarted with tracing on and off;
-		// the A/B then measures the client-side cost only.
-		addrTraced := ""
 		if traceAB {
 			addrTraced = addr
 		}
-		sweepOne(out, "external", addr, addrTraced, connsList, threads, base, sampleRate)
-		finishTraceAB(out, traceAB)
-		return out
-	}
-
-	for _, mode := range []server.Mode{server.ModeEventLoop, server.ModeGoroutine} {
-		srv, a := startNetServer(mode, base, false)
-		actual := srv.Mode()
-		if actual != mode {
-			// Platform without event-loop support: the fallback would
-			// measure the goroutine core twice.
-			fmt.Printf("# net bench: %v unavailable here (served as %v), skipping\n", mode, actual)
-			srv.Close()
-			continue
-		}
+	} else {
+		srv := startNetServer(base, false)
+		defer srv.Close()
+		addr = srv.Addr().String()
 		// The B side of a tracing A/B gets its own server, identically
 		// prefilled, running the flight recorder the way jiffyd does.
-		addrTraced := ""
-		var srvTraced *server.Server[uint64, *harness.Payload]
 		if traceAB {
-			srvTraced, addrTraced = startNetServer(mode, base, true)
+			srvTraced := startNetServer(base, true)
+			defer srvTraced.Close()
+			addrTraced = srvTraced.Addr().String()
 		}
-		fmt.Printf("# net bench: loopback server on %s, core %v (%d shards, prefill %d)\n",
-			a, actual, harness.ShardCount, prefill)
-		out.Modes = append(out.Modes, actual.String())
-		sweepOne(out, actual.String(), a, addrTraced, connsList, threads, base, sampleRate)
-		srv.Close()
-		if srvTraced != nil {
-			srvTraced.Close()
-		}
+		fmt.Printf("# net bench: loopback server on %s (%d shards, prefill %d)\n",
+			addr, harness.ShardCount, prefill)
 	}
-
-	out.Parity = checkParity(connsList)
-	if out.Parity != "ok" {
-		fmt.Fprintf(os.Stderr, "net bench: PARITY MISMATCH between serving cores: %s\n", out.Parity)
-		os.Exit(1)
-	}
-	fmt.Printf("# net bench: serve-mode parity ok\n")
+	sweep(out, addr, addrTraced, connsList, threads, base, sampleRate)
 	finishTraceAB(out, traceAB)
 	return out
 }
@@ -345,14 +298,13 @@ func finishTraceAB(out *netFile, traceAB bool) {
 		return
 	}
 	type key struct {
-		mode      string
 		conns     int
 		pipelined bool
 	}
 	baseline := map[key]float64{}
 	for _, pt := range out.Sweep {
 		if !pt.Traced {
-			baseline[key{pt.Mode, pt.Conns, pt.Pipelined}] = pt.TotalMops
+			baseline[key{pt.Conns, pt.Pipelined}] = pt.TotalMops
 		}
 	}
 	var sum float64
@@ -361,7 +313,7 @@ func finishTraceAB(out *netFile, traceAB bool) {
 		if !pt.Traced {
 			continue
 		}
-		if b := baseline[key{pt.Mode, pt.Conns, pt.Pipelined}]; b > 0 {
+		if b := baseline[key{pt.Conns, pt.Pipelined}]; b > 0 {
 			sum += (b - pt.TotalMops) / b * 100
 			n++
 		}
@@ -371,115 +323,6 @@ func finishTraceAB(out *netFile, traceAB bool) {
 	}
 	fmt.Printf("# net bench: tracing overhead %.2f%% mean over %d paired points (positive: traced slower)\n",
 		out.TraceOverheadPct, n)
-}
-
-// checkParity runs one deterministic workload against each serving core —
-// workers with disjoint key ranges, so the final contents are independent
-// of interleaving — then digests a full scan of each and compares. A
-// digest mismatch means one core corrupted, dropped or misrouted an
-// operation the other executed correctly.
-func checkParity(connsList []int) string {
-	conns := 8
-	for _, n := range connsList {
-		if n > conns {
-			conns = n
-		}
-	}
-	if conns > 64 {
-		conns = 64 // parity needs determinism, not scale
-	}
-	digests := map[string]uint64{}
-	for _, mode := range []server.Mode{server.ModeEventLoop, server.ModeGoroutine} {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return fmt.Sprintf("listen: %v", err)
-		}
-		srv := server.Serve(ln, server.NewMemStore(jiffy.NewSharded[uint64, *harness.Payload](harness.ShardCount)), netCodec(), server.Options{Mode: mode})
-		if srv.Mode() != mode {
-			srv.Close()
-			continue
-		}
-		c, err := client.Dial(srv.Addr().String(), netCodec(), client.Options{Conns: conns})
-		if err != nil {
-			srv.Close()
-			return fmt.Sprintf("dial: %v", err)
-		}
-
-		const workers, opsPer = 8, 2000
-		var wg sync.WaitGroup
-		errc := make(chan error, workers)
-		for w := 0; w < workers; w++ {
-			w := w
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				// Disjoint key range per worker: [w*10000, w*10000+opsPer).
-				base := uint64(w * 10000)
-				var val harness.Payload
-				for i := uint64(0); i < opsPer; i++ {
-					k := base + i%512 // revisit keys so puts overwrite and deletes hit
-					switch i % 5 {
-					case 0, 1, 2:
-						val[0] = byte(i)
-						if err := c.Put(k, &val); err != nil {
-							errc <- err
-							return
-						}
-					case 3:
-						if _, err := c.Remove(k + 256); err != nil {
-							errc <- err
-							return
-						}
-					case 4:
-						ops := []jiffy.BatchOp[uint64, *harness.Payload]{
-							{Key: k, Val: &val},
-							{Key: k + 1, Val: &val},
-							{Key: k + 100, Remove: true},
-						}
-						if err := c.BatchUpdate(ops); err != nil {
-							errc <- err
-							return
-						}
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		close(errc)
-		for err := range errc {
-			c.Close()
-			srv.Close()
-			return fmt.Sprintf("%v workload: %v", mode, err)
-		}
-
-		h := fnv.New64a()
-		sc := c.ScanAll()
-		var kb [8]byte
-		for sc.Next() {
-			k := sc.Key()
-			for i := 0; i < 8; i++ {
-				kb[i] = byte(k >> (8 * i))
-			}
-			h.Write(kb[:])
-			h.Write(sc.Value()[:])
-		}
-		err = sc.Err()
-		sc.Close()
-		c.Close()
-		srv.Close()
-		if err != nil {
-			return fmt.Sprintf("%v scan: %v", mode, err)
-		}
-		digests[mode.String()] = h.Sum64()
-	}
-	if len(digests) < 2 {
-		return "ok" // only one core available on this platform
-	}
-	if digests["eventloop"] != digests["goroutine"] {
-		return fmt.Sprintf("eventloop digest %016x != goroutine digest %016x",
-			digests["eventloop"], digests["goroutine"])
-	}
-	return "ok"
 }
 
 func writeNetJSON(path string, out *netFile) error {

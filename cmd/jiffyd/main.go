@@ -103,8 +103,6 @@ func main() {
 		snapTTL = flag.Duration("snap-ttl", 30*time.Second, "idle TTL for snapshot sessions")
 		maxPage = flag.Int("max-scan-page", 4096, "server-side cap on scan page size")
 		checkpt = flag.Duration("checkpoint-every", 0, "with -durable: checkpoint and truncate logs on this interval (0: never)")
-		mode    = flag.String("serve-mode", "auto", "serving core: auto, eventloop, goroutine (auto also honors JIFFY_SERVE_MODE)")
-		loops   = flag.Int("loops", 0, "event loop count with -serve-mode eventloop (0: GOMAXPROCS, capped at 8)")
 		metrics = flag.String("metrics-addr", "", "HTTP listen address for /metrics, /healthz, /trace, /replstatus, /promote and /debug/pprof (empty: no HTTP listener)")
 		logJSON = flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
 
@@ -257,8 +255,6 @@ func main() {
 	srvOpts := server.Options{
 		SnapTTL:     *snapTTL,
 		MaxScanPage: *maxPage,
-		Mode:        server.ParseMode(*mode),
-		Loops:       *loops,
 		Registry:    reg,
 		Logf:        logf,
 		Tracer:      rec,
@@ -280,8 +276,7 @@ func main() {
 	if fn != nil {
 		fn.setServer(srv)
 	}
-	logger.Info("serving", "addr", srv.Addr().String(), "core", srv.Mode().String(),
-		"snap_ttl", snapTTL.String())
+	logger.Info("serving", "addr", srv.Addr().String(), "snap_ttl", snapTTL.String())
 
 	// Replication apply loop (replica role). Promotion — manual via POST
 	// /promote, or automatic from the failure detector — retires it.

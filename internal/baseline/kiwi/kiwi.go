@@ -98,6 +98,20 @@ func (m *Map) findChunk(key uint32) *chunk {
 	}
 }
 
+// payloadFor returns a payload holding every key of the chunk covering
+// key. A split publishes the right chunk before shrinking the left one, so
+// a payload read while the chunk's successor still starts above key has
+// not lost key to the split.
+func (m *Map) payloadFor(key uint32) *payload {
+	for {
+		c := m.findChunk(key)
+		p := c.data.Load()
+		if n := c.next.Load(); n == nil || n.minKey > key {
+			return p
+		}
+	}
+}
+
 // lookup returns the cell anchoring key's version chain, searching the base
 // array and then the overflow region, or nil.
 func (p *payload) lookup(key uint32) *cell {
@@ -246,9 +260,7 @@ func (m *Map) insertKey(c *chunk, key, val uint32) bool {
 
 // Get returns the newest value stored for key.
 func (m *Map) Get(key uint32) (uint32, bool) {
-	c := m.findChunk(key)
-	p := c.data.Load()
-	if cell := p.lookup(key); cell != nil {
+	if cell := m.payloadFor(key).lookup(key); cell != nil {
 		v := cell.head.Load()
 		if v != nil && !v.del {
 			return v.val, true
@@ -258,20 +270,25 @@ func (m *Map) Get(key uint32) (uint32, bool) {
 }
 
 // Remove deletes key, reporting whether it was present. Deletion pushes a
-// tombstone version (KiWi never shrinks chunks).
+// tombstone version (KiWi never shrinks chunks) over the live version it
+// observed, so of concurrent removes of one key exactly one succeeds.
 func (m *Map) Remove(key uint32) bool {
-	c := m.findChunk(key)
-	p := c.data.Load()
-	cell := p.lookup(key)
+	cell := m.payloadFor(key).lookup(key)
 	if cell == nil {
 		return false
 	}
-	v := cell.head.Load()
-	if v == nil || v.del {
-		return false
+	for {
+		v := cell.head.Load()
+		if v == nil || v.del {
+			return false
+		}
+		tomb := &cellVer{ver: m.gv.Load(), del: true}
+		tomb.next.Store(v)
+		if cell.head.CompareAndSwap(v, tomb) {
+			prune(tomb, m.minActiveScan(math.MaxInt64))
+			return true
+		}
 	}
-	m.pushVersion(cell, 0, true)
-	return true
 }
 
 // RangeFrom visits entries with key >= lo ascending until fn returns false.
@@ -279,14 +296,19 @@ func (m *Map) Remove(key uint32) bool {
 // this is the serializing step Jiffy avoids) and reads, per key, the newest
 // version strictly below its scan version.
 func (m *Map) RangeFrom(lo uint32, fn func(key, val uint32) bool) {
-	// Register in a scan slot with a +inf placeholder before taking the
-	// scan version, so concurrent pruning can never free versions this
-	// scan might need (same publish-then-refresh pattern as Jiffy's
-	// snapshot registry, §3.3.4).
+	// Register in a scan slot at a floor before taking the scan version,
+	// so concurrent pruning can never free versions this scan might need
+	// (same pin-then-publish pattern as Jiffy's snapshot registry,
+	// §3.3.4). The floor is a counter value read first, so the scan
+	// version will be above it; pruning keeps every version at or above
+	// the floor plus the newest one below it. An unbounded placeholder
+	// would not do: pruning reads the minimum over the slots, so it would
+	// ignore this scan until the version is stored.
+	floor := m.gv.Load()
 	slot := -1
 	for slot < 0 {
 		for i := range m.scans {
-			if m.scans[i].Load() == 0 && m.scans[i].CompareAndSwap(0, math.MaxInt64) {
+			if m.scans[i].Load() == 0 && m.scans[i].CompareAndSwap(0, floor) {
 				slot = i
 				break
 			}

@@ -3,6 +3,7 @@ package kiwi
 import (
 	"math/rand/v2"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -195,4 +196,33 @@ func TestScanPinsVersionsAgainstPruning(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestConcurrentRemovesReportOnce races removes of one present key: the
+// key is deleted once, so exactly one Remove may report it present.
+func TestConcurrentRemovesReportOnce(t *testing.T) {
+	m := New()
+	const removers = 4
+	for trial := 0; trial < 2000; trial++ {
+		m.Put(7, uint32(trial))
+		var start sync.WaitGroup
+		start.Add(1)
+		var wg sync.WaitGroup
+		var present atomic.Int32
+		for g := 0; g < removers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				start.Wait()
+				if m.Remove(7) {
+					present.Add(1)
+				}
+			}()
+		}
+		start.Done()
+		wg.Wait()
+		if n := present.Load(); n != 1 {
+			t.Fatalf("trial %d: %d concurrent removes of one present key reported it present, want 1", trial, n)
+		}
+	}
 }

@@ -376,7 +376,18 @@ func (m *Map[K, V]) applyBatchDesc(desc *batchDesc[K, V]) {
 		}
 		lo := batchRunStart(entries[:cursor], nd)
 		if headRev.desc == desc {
-			// Already applied here (fact 1); skip the node's run.
+			// Already applied here (fact 1); skip the node's run. If
+			// the application split the node, finish the split first:
+			// its installer may have stalled before helpSplit, and once
+			// the batch commits its split revisions are final, so
+			// updates stack on the node — rebuilt from the left half
+			// alone while the right half is still unpublished.
+			switch headRev.kind {
+			case revLeftSplit:
+				m.helpSplit(nd, headRev)
+			case revRightSplit:
+				m.helpSplit(headRev.sibling.node, headRev.sibling)
+			}
 			desc.remaining.CompareAndSwap(cursor, lo)
 			cursor = lo
 			continue

@@ -202,6 +202,9 @@ func (m *Map[K, V]) helpPendingUpdate(rev *revision[K, V]) {
 		m.helpSplit(rev.sibling.node, rev.sibling)
 		m.finalize(rev.sibling)
 	case revMerge:
+		// rev is the merge's revision (it won the head CAS); its
+		// installer may not have published it on the terminator yet.
+		rev.mt.mergeRev.CompareAndSwap(nil, rev)
 		m.completeMerge(rev.mt)
 	case revTerminator:
 		m.helpMergeTerminator(rev)

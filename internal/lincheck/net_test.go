@@ -14,7 +14,7 @@ import (
 // so the recorded histories cover the full stack: client encode, pipeline
 // correlation, server decode, store execution, response path. Anything
 // that reorders effects anywhere along that path — a response matched to
-// the wrong id, a batch applied non-atomically, an event loop executing
+// the wrong id, a batch applied non-atomically, a connection executing
 // frames out of arrival order — shows up as a non-linearizable history.
 type netTarget struct {
 	t *testing.T
@@ -57,15 +57,15 @@ func (nt *netTarget) Batch(keys []int, vals []int, removes []bool) {
 // runNetBattery records histories against a fresh server per seed and
 // checks each for linearizability. Every goroutine issues its operations
 // through one shared pooled client (8 connections), so concurrent ops
-// travel on different sockets and land on different event loops.
-func runNetBattery(t *testing.T, mode server.Mode, seeds uint64) {
+// travel on different sockets and execute on different server goroutines.
+func runNetBattery(t *testing.T, seeds uint64) {
 	codec := durable.Codec[uint64, uint64]{Key: durable.Uint64Enc(), Value: durable.Uint64Enc()}
 	for seed := uint64(0); seed < seeds; seed++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatalf("listen: %v", err)
 		}
-		srv := server.Serve(ln, server.NewMemStore(jiffy.NewSharded[uint64, uint64](4)), codec, server.Options{Mode: mode, Loops: 2})
+		srv := server.Serve(ln, server.NewMemStore(jiffy.NewSharded[uint64, uint64](4)), codec, server.Options{})
 		c, err := client.Dial(srv.Addr().String(), codec, client.Options{Conns: 8})
 		if err != nil {
 			srv.Close()
@@ -87,15 +87,14 @@ func runNetBattery(t *testing.T, mode server.Mode, seeds uint64) {
 	}
 }
 
-// TestNetworkLinearizable checks end-to-end linearizability through both
-// serving cores: 8 goroutines over an 8-connection pool, mixed point ops
+// TestNetworkLinearizable checks end-to-end linearizability through the
+// server: 8 goroutines over an 8-connection pool, mixed point ops
 // and atomic batches on a 4-key space (small enough that operations
-// genuinely collide).
+// genuinely collide). The subtest is named after the serving core.
 func TestNetworkLinearizable(t *testing.T) {
 	seeds := uint64(30)
 	if testing.Short() {
 		seeds = 8
 	}
-	t.Run("eventloop", func(t *testing.T) { runNetBattery(t, server.ModeEventLoop, seeds) })
-	t.Run("goroutine", func(t *testing.T) { runNetBattery(t, server.ModeGoroutine, seeds) })
+	t.Run(server.Mode{}.String(), func(t *testing.T) { runNetBattery(t, seeds) })
 }

@@ -9,8 +9,8 @@
 // picks its stripe with the per-P cheap random source (math/rand/v2's
 // runtime-backed Uint64) — two or three nanoseconds, no shared cache line,
 // no mutex, no allocation. Instrumenting a request therefore costs a
-// handful of uncontended atomic adds, which is what lets the event-loop
-// core keep its metrics on while staying within noise of the
+// handful of uncontended atomic adds, which is what lets the serving
+// layer keep its metrics on while staying within noise of the
 // uninstrumented build (BENCH_0007 vs BENCH_0006).
 //
 // The read side (scrape) sums the stripes with atomic loads. A scrape is
@@ -254,7 +254,7 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 var LatencyBuckets = ExpBuckets(1e-6, 2, 22)
 
 // SizeBuckets spans 64 bytes to ~16 MiB for byte-size distributions
-// (writev flushes, WAL group-commit writes).
+// (response flushes, WAL group-commit writes).
 var SizeBuckets = ExpBuckets(64, 4, 10)
 
 // CountBuckets spans 1 to 512 for small cardinality distributions (group

@@ -380,6 +380,14 @@ func (s *Source[K, V]) catchUp(c net.Conn, want int64, traced bool) (*sub, int64
 	return sb, vs, nil
 }
 
+// minFrameBytes caps the records of the first batch frame a connection
+// carries; the cap doubles with every frame written, up to BatchBytes.
+// The slow start keeps the resume loop live on a link that fails every
+// few KiB: each connection still delivers one small frame, so the next
+// resumes from a higher watermark instead of re-sending a frame that
+// never arrives whole.
+const minFrameBytes = 4 << 10
+
 // appendBatchFrame appends one OpReplBatch frame carrying recs (already
 // filtered) to dst. traced selects the proto-3 record layout, which
 // carries each record's trace ID between version and payload.
@@ -413,21 +421,30 @@ func (s *Source[K, V]) writeAll(c net.Conn, buf []byte) error {
 // subscription point and is therefore in this tail.
 func (s *Source[K, V]) sendDiskTail(c net.Conn, recs []durable.TailRecord, frontier int64, traced bool) error {
 	var frame []byte
+	limit := min(minFrameBytes, s.opts.BatchBytes)
 	for len(recs) > 0 {
 		n, bytes := 0, int64(0)
 		for n < len(recs) && n < s.opts.BatchRecords {
 			sz := int64(len(recs[n].Payload))
-			if n > 0 && bytes+sz > s.opts.BatchBytes {
+			if n > 0 && bytes+sz > limit {
 				break
 			}
 			bytes += sz
 			n++
 		}
-		frame = appendBatchFrame(frame[:0], frontier, 0, recs[:n], traced)
+		// The tail is in version order: a frame that leaves records
+		// unsent caps its frontier below them, or a replica cut off
+		// before the next frame would resume past them.
+		fr := frontier
+		if n < len(recs) {
+			fr = min(fr, recs[n].Version-1)
+		}
+		frame = appendBatchFrame(frame[:0], fr, 0, recs[:n], traced)
 		if err := s.writeAll(c, frame); err != nil {
 			return err
 		}
 		recs = recs[n:]
+		limit = min(2*limit, s.opts.BatchBytes)
 	}
 	return nil
 }
@@ -503,8 +520,9 @@ func (s *Source[K, V]) stream(c net.Conn, sb *sub, filter int64, traced bool, at
 	pubs := make([]int64, 0, s.opts.BatchRecords) // publish nanos, parallel to recs
 	lastSeq := uint64(0)
 	tr := s.opts.Tracer
+	limit := min(minFrameBytes, s.opts.BatchBytes)
 	for {
-		batch, frontier, err := sb.nextBatch(s.opts.BatchRecords, s.opts.BatchBytes, s.opts.HeartbeatEvery)
+		batch, frontier, err := sb.nextBatch(s.opts.BatchRecords, limit, s.opts.HeartbeatEvery)
 		if err != nil {
 			if err == errSevered {
 				s.logf("repl: %s: severed for lagging; replica will resync", c.RemoteAddr())
@@ -524,6 +542,7 @@ func (s *Source[K, V]) stream(c net.Conn, sb *sub, filter int64, traced bool, at
 			s.logf("repl: %s: write: %v", c.RemoteAddr(), err)
 			return
 		}
+		limit = min(2*limit, s.opts.BatchBytes)
 		if tr != nil && len(batch) > 0 {
 			now := time.Now()
 			batchTid := uint64(0)

@@ -354,6 +354,11 @@ type sub struct {
 	wm     int64  // replica-reported watermark (lag gauges)
 	synced bool   // caught up: counted by synchronous-ack waits
 	dead   bool   // severed; nextBatch returns errSevered
+
+	// skip is the replica's watermark at a ring resume: records at or
+	// below it are already applied there, so they are consumed without
+	// counting against a batch's caps or holding back its frontier.
+	skip int64
 }
 
 // subscribe registers a subscriber starting at the current end of the
@@ -387,7 +392,7 @@ func (t *Tap) subscribeRing(w int64) (*sub, bool) {
 	if w < t.ringFloor {
 		return nil, false
 	}
-	s := &sub{t: t, next: t.nextSeq}
+	s := &sub{t: t, next: t.nextSeq, skip: w}
 	if len(t.ring) > 0 {
 		s.next = t.firstSeq
 	}
@@ -472,19 +477,23 @@ func (s *sub) nextBatch(maxRecords int, maxBytes int64, wait time.Duration) (bat
 	}
 	i := int(s.next - t.firstSeq)
 	var bytes int64
+	sent := 0
 	for ; i < len(t.ring); i++ {
 		e := t.ring[i]
-		if len(batch) > 0 && (len(batch) >= maxRecords || bytes+int64(len(e.payload)) > maxBytes) {
-			break
+		if e.ver > s.skip {
+			if sent > 0 && (sent >= maxRecords || bytes+int64(len(e.payload)) > maxBytes) {
+				break
+			}
+			sent++
+			bytes += int64(len(e.payload))
 		}
 		batch = append(batch, e)
-		bytes += int64(len(e.payload))
 		s.next = e.seq + 1
 	}
 	frontier = t.frontierLocked()
 	for ; i < len(t.ring); i++ {
-		if v := t.ring[i].ver - 1; v < frontier {
-			frontier = v
+		if e := t.ring[i]; e.ver > s.skip && e.ver-1 < frontier {
+			frontier = e.ver - 1
 		}
 	}
 	return batch, frontier, nil

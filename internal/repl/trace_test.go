@@ -49,6 +49,19 @@ func TestReplTraceStitching(t *testing.T) {
 		}
 		return m
 	}
+	// The source records a repl_stream span once the frame's socket write
+	// returns, which can come after the replica has applied the frame and
+	// the watermark converged: wait for the spans instead of racing the
+	// source's goroutine.
+	testutil.WaitFor(t, 5*time.Second, func() bool {
+		got := idsAt(prec, trace.StageReplStream)
+		for tid := range traced {
+			if !got[tid] {
+				return false
+			}
+		}
+		return true
+	}, "repl_stream spans never covered every traced ID")
 	for _, probe := range []struct {
 		name  string
 		rec   *trace.Recorder

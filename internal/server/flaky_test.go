@@ -13,21 +13,20 @@ import (
 )
 
 // These tests put misbehaving clients in front of the server — dribbling
-// writers, mid-frame resets, readers that stop reading — and assert the
-// property that matters for a shared event loop: one bad connection
-// never blocks the loop's other connections, and every teardown is
+// writers, mid-frame resets, readers that stop reading — and assert that
+// one bad connection never blocks the server's other connections, that
+// output backpressure engages and releases, and that every teardown is
 // clean (no goroutine, fd, or session leak; LeakCheck enforces the
 // first two, TestIdleScanCursorDoesNotBlockReclamation-style assertions
 // the third).
 
-// TestFlakyNeighborsStayLive runs one event loop (Loops: 1, so every
-// connection shares it) carrying a healthy client and a crowd of flaky
-// ones — short writes fragmenting frames across many syscalls, periodic
-// stalls, and mid-frame resets. The healthy client's pings must keep
-// round-tripping throughout.
+// TestFlakyNeighborsStayLive runs a healthy client beside a crowd of
+// flaky ones — short writes fragmenting frames across many syscalls,
+// periodic stalls, and mid-frame resets. The healthy client's pings must
+// keep round-tripping throughout.
 func TestFlakyNeighborsStayLive(t *testing.T) {
 	testutil.LeakCheck(t)
-	_, _, addr := startServer(t, 4, Options{Mode: ModeEventLoop, Loops: 1})
+	_, _, addr := startServer(t, 4, Options{})
 
 	healthy := dial(t, addr, client.Options{Conns: 1})
 	if err := healthy.Ping(); err != nil {
@@ -92,14 +91,14 @@ func TestFlakyNeighborsStayLive(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSlowReaderDoesNotBlockLoop shares one event loop between a reader
-// that stops consuming responses mid-scan (forcing the server's output
-// backlog toward the high-water mark) and a healthy client. The healthy
-// client must stay live while the slow one is paused, and the slow one
-// must finish once it resumes reading.
+// TestSlowReaderDoesNotBlockLoop serves a reader that stops consuming
+// responses mid-scan (forcing the server's output backlog toward the
+// high-water mark) beside a healthy client. The healthy client must stay
+// live while the slow one is paused, and the slow one must finish once it
+// resumes reading.
 func TestSlowReaderDoesNotBlockLoop(t *testing.T) {
 	testutil.LeakCheck(t)
-	s, _, addr := startServer(t, 4, Options{Mode: ModeEventLoop, Loops: 1})
+	s, _, addr := startServer(t, 4, Options{})
 	for i := uint64(0); i < 5000; i++ {
 		s.Put(i, i)
 	}
@@ -152,10 +151,9 @@ func TestSlowReaderDoesNotBlockLoop(t *testing.T) {
 }
 
 // scanBurst builds n pipelined sessionless full-scan requests. Each
-// returns a full page (~80 KiB against the 5000-key fixture), and the
-// loop executes the whole burst inline before any flush runs, so a large
-// enough n is guaranteed to push the connection past the output
-// high-water mark and pause it.
+// returns a full page (~80 KiB against the 5000-key fixture), so against
+// a client that reads nothing a large enough n is guaranteed to push the
+// connection past the output high-water mark and pause it.
 func scanBurst(n int) []byte {
 	var req []byte
 	for id := uint64(1); id <= uint64(n); id++ {
@@ -170,14 +168,14 @@ func scanBurst(n int) []byte {
 
 // TestHalfCloseWhilePausedTearsDown pauses a connection by backpressure
 // (a scan burst whose responses the client never reads) and then
-// half-closes it with FIN. A paused connection has read interest
-// dropped, so the hangup arrives only as the always-registered
-// EPOLLRDHUP; the loop must tear the connection down from that signal.
-// Ignoring it is a 100% CPU busy-spin — level-triggered epoll re-reports
-// the event every wake — and the connection plus its sessions never die.
+// half-closes it with FIN. A paused reader executes nothing, but it keeps
+// buffering request bytes until its input buffer fills, so it sees the
+// EOF and must tear the connection down from it. A reader that simply
+// blocked until the backlog drained would never notice: the client reads
+// nothing, so the connection and its sessions would never die.
 func TestHalfCloseWhilePausedTearsDown(t *testing.T) {
 	testutil.LeakCheck(t)
-	s, srv, addr := startServer(t, 4, Options{Mode: ModeEventLoop, Loops: 1})
+	s, srv, addr := startServer(t, 4, Options{})
 	for i := uint64(0); i < 5000; i++ {
 		s.Put(i, i)
 	}
@@ -186,9 +184,14 @@ func TestHalfCloseWhilePausedTearsDown(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer nc.Close()
-	// 128 full pages ≈ 10 MiB of responses: comfortably past the 8 MiB
-	// high-water mark, so the connection pauses with most of it queued.
-	if _, err := nc.Write(scanBurst(128)); err != nil {
+	// 512 full pages ≈ 40 MiB of responses, to a client whose small
+	// receive buffer keeps the kernel from absorbing much of them: the
+	// backlog crosses the 8 MiB high-water mark and cannot drain below
+	// the low-water mark, so the connection pauses and stays paused.
+	if err := nc.(*net.TCPConn).SetReadBuffer(64 << 10); err != nil {
+		t.Fatalf("set read buffer: %v", err)
+	}
+	if _, err := nc.Write(scanBurst(512)); err != nil {
 		t.Fatalf("write scan burst: %v", err)
 	}
 	testutil.Eventually(t, func() bool {
@@ -196,9 +199,9 @@ func TestHalfCloseWhilePausedTearsDown(t *testing.T) {
 		defer srv.mu.Unlock()
 		return len(srv.conns) == 1
 	}, "server never registered the connection")
-	// Let the burst execute and the high-water pause engage, then send
-	// FIN without having read a byte.
-	time.Sleep(50 * time.Millisecond)
+	testutil.Eventually(t, func() bool { return srv.metrics.connsPaused.Value() == 1 },
+		"the connection never paused")
+	// Send FIN without having read a byte.
 	if err := nc.(*net.TCPConn).CloseWrite(); err != nil {
 		t.Fatalf("half-close: %v", err)
 	}
@@ -209,17 +212,17 @@ func TestHalfCloseWhilePausedTearsDown(t *testing.T) {
 	}, "paused connection not torn down after peer half-close")
 }
 
-// TestBurstWithPromptReaderNeverWedges is the regression test for a
-// dropped end-of-wake flush mark: when a flush during the dirtyq pass
-// drains a paused connection below the low-water mark (a prompt reader
-// keeps the socket writable), the resumed frame processing re-marks the
-// connection dirty mid-pass. Those marks used to be silently dropped with
-// the dirty flag left set, after which every later markDirty no-opped and
-// responses sat buffered forever. Each round's trailing ping probes for
-// exactly that wedge.
+// TestBurstWithPromptReaderNeverWedges pipelines bursts of 128 full scan
+// pages (about 10 MiB each) at a client that reads promptly, so the
+// reader's pause and the writer's resume race each other whenever the
+// backlog crosses the high-water mark. A lost resume (the writer draining
+// below the low-water mark without waking the paused reader, or the
+// reader missing the wake while blocked in a read) leaves requests
+// unexecuted forever. Each round's trailing ping probes for exactly that
+// wedge.
 func TestBurstWithPromptReaderNeverWedges(t *testing.T) {
 	testutil.LeakCheck(t)
-	s, _, addr := startServer(t, 4, Options{Mode: ModeEventLoop, Loops: 1})
+	s, _, addr := startServer(t, 4, Options{})
 	for i := uint64(0); i < 5000; i++ {
 		s.Put(i, i)
 	}
@@ -264,7 +267,7 @@ func TestBurstWithPromptReaderNeverWedges(t *testing.T) {
 // LeakCheck sees no goroutine or fd residue.
 func TestMidFrameResetCleansUp(t *testing.T) {
 	testutil.LeakCheck(t)
-	s, srv, addr := startServer(t, 2, Options{Mode: ModeEventLoop, Loops: 1, SnapTTL: time.Hour})
+	s, srv, addr := startServer(t, 2, Options{SnapTTL: time.Hour})
 	s.Put(1, 10)
 
 	full := wire.AppendFrame(nil, 5, wire.OpSnap, nil)

@@ -12,10 +12,10 @@ import (
 )
 
 // FuzzConnBytes feeds arbitrary byte streams — from garbage to mutated
-// valid request frames — straight into a live server connection, in both
-// serving modes, and asserts the contract a hostile or broken client
-// gets: the server never panics, never wedges, and a well-behaved
-// neighbor connection on the same loop keeps working throughout. The
+// valid request frames — straight into a live server connection and
+// asserts the contract a hostile or broken client gets: the server never
+// panics, never wedges, and a well-behaved neighbor connection keeps
+// working throughout. The
 // fuzzed connection itself either answers frames or gets severed; both
 // are legal, hanging is not.
 func FuzzConnBytes(f *testing.F) {
@@ -37,54 +37,52 @@ func FuzzConnBytes(f *testing.F) {
 	f.Fuzz(fuzzOneStream)
 }
 
-// fuzzOneStream runs one fuzz input against both cores, a fresh server
-// apiece: write the bytes, read whatever comes back, then prove the
-// server is still healthy with a fresh connection's ping.
+// fuzzOneStream runs one fuzz input against a fresh server: write the
+// bytes, read whatever comes back, then prove the server is still healthy
+// with a fresh connection's ping.
 func fuzzOneStream(t *testing.T, data []byte) {
-	for _, mode := range []Mode{ModeEventLoop, ModeGoroutine} {
-		s := jiffy.NewSharded[uint64, uint64](2)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("listen: %v", err)
-		}
-		srv := Serve(ln, NewMemStore(s), u64Codec(), Options{Mode: mode, Loops: 1})
-		addr := srv.Addr().String()
+	s := jiffy.NewSharded[uint64, uint64](2)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	srv := Serve(ln, NewMemStore(s), u64Codec(), Options{})
+	addr := srv.Addr().String()
 
-		// The victim: raw bytes, no protocol discipline.
-		vc, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatalf("dial: %v", err)
-		}
-		vc.SetDeadline(time.Now().Add(5 * time.Second))
-		vc.Write(data)
-		// Half-close so a frame-aligned stream drains to EOF server-side;
-		// then swallow responses until the server answers everything or
-		// severs us. Either way this must not hang.
-		if tc, ok := vc.(*net.TCPConn); ok {
-			tc.CloseWrite()
-		}
-		io.Copy(io.Discard, vc)
-		vc.Close()
+	// The victim: raw bytes, no protocol discipline.
+	vc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	vc.SetDeadline(time.Now().Add(5 * time.Second))
+	vc.Write(data)
+	// Half-close so a frame-aligned stream drains to EOF server-side;
+	// then swallow responses until the server answers everything or
+	// severs us. Either way this must not hang.
+	if tc, ok := vc.(*net.TCPConn); ok {
+		tc.CloseWrite()
+	}
+	io.Copy(io.Discard, vc)
+	vc.Close()
 
-		// The neighbor: a well-formed ping must still round-trip.
-		nc, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatalf("neighbor dial: %v", err)
-		}
-		nc.SetDeadline(time.Now().Add(5 * time.Second))
-		ping := wire.AppendFrame(nil, 99, wire.OpPing, nil)
-		if _, err := nc.Write(ping); err != nil {
-			t.Fatalf("neighbor write: %v", err)
-		}
-		id, status, _, _, err := wire.ReadFrame(nc, nil)
-		if err != nil || id != 99 || status != wire.StatusOK {
-			t.Fatalf("neighbor ping after fuzz stream: id=%d status=%d err=%v (mode %v)", id, status, err, mode)
-		}
-		nc.Close()
+	// The neighbor: a well-formed ping must still round-trip.
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("neighbor dial: %v", err)
+	}
+	nc.SetDeadline(time.Now().Add(5 * time.Second))
+	ping := wire.AppendFrame(nil, 99, wire.OpPing, nil)
+	if _, err := nc.Write(ping); err != nil {
+		t.Fatalf("neighbor write: %v", err)
+	}
+	id, status, _, _, err := wire.ReadFrame(nc, nil)
+	if err != nil || id != 99 || status != wire.StatusOK {
+		t.Fatalf("neighbor ping after fuzz stream: id=%d status=%d err=%v", id, status, err)
+	}
+	nc.Close()
 
-		if err := srv.Close(); err != nil {
-			t.Fatalf("close: %v", err)
-		}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("close: %v", err)
 	}
 }
 

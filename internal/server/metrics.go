@@ -45,7 +45,7 @@ var statusNames = [wire.StatusErr + 1]string{
 	wire.StatusErr:         "error",
 }
 
-// metrics is the server's instrument panel, shared by both cores.
+// metrics is the server's instrument panel.
 type metrics struct {
 	// Protocol engine (state.go, via connState.exec).
 	requests  [len(opNames)]*obs.Counter   // completed requests by op
@@ -53,7 +53,7 @@ type metrics struct {
 	responses [len(statusNames)]*obs.Counter
 	inflight  *obs.UpDown
 
-	// Connection lifecycle (accept.go, conn.go, loop.go).
+	// Connection lifecycle and I/O (conn.go).
 	connsTotal  *obs.Counter
 	conns       *obs.UpDown
 	connsPaused *obs.UpDown
@@ -61,17 +61,13 @@ type metrics struct {
 	resumes     *obs.Counter
 	bytesIn     *obs.Counter
 	bytesOut    *obs.Counter
+	flushBytes  *obs.Histogram
+	flushFrames *obs.Histogram
 
 	// Snapshot sessions (state.go, server.go reaper).
 	sessionsOpen   *obs.UpDown
 	sessionsOpened *obs.Counter
 	sessionsReaped *obs.Counter
-
-	// Event-loop core (loop.go, flush.go).
-	loopWakeups  *obs.Counter
-	dirtyqDepth  *obs.Histogram
-	writevBytes  *obs.Histogram
-	writevIovecs *obs.Histogram
 }
 
 func newMetrics(r *obs.Registry) *metrics {
@@ -106,21 +102,16 @@ func newMetrics(r *obs.Registry) *metrics {
 		"Request bytes read from clients.")
 	m.bytesOut = r.Counter("jiffyd_bytes_written_total",
 		"Response bytes written to clients.")
+	m.flushBytes = r.Histogram("jiffyd_flush_bytes",
+		"Bytes per response flush write.", obs.SizeBuckets)
+	m.flushFrames = r.Histogram("jiffyd_flush_frames",
+		"Response frames coalesced per flush write.", obs.CountBuckets)
 	m.sessionsOpen = r.UpDown("jiffyd_sessions_open",
 		"Snapshot sessions currently registered.")
 	m.sessionsOpened = r.Counter("jiffyd_sessions_opened_total",
 		"Snapshot sessions opened since start.")
 	m.sessionsReaped = r.Counter("jiffyd_sessions_reaped_total",
 		"Snapshot sessions closed by the idle-TTL reaper.")
-	m.loopWakeups = r.Counter("jiffyd_loop_wakeups_total",
-		"Event-loop poll returns (readiness bursts serviced).")
-	m.dirtyqDepth = r.Histogram("jiffyd_loop_dirtyq_depth",
-		"Connections flushed per event-loop wake (response coalescing width).",
-		obs.CountBuckets)
-	m.writevBytes = r.Histogram("jiffyd_writev_bytes",
-		"Bytes per writev flush.", obs.SizeBuckets)
-	m.writevIovecs = r.Histogram("jiffyd_writev_iovecs",
-		"Output chunks per writev flush.", obs.CountBuckets)
 	return m
 }
 
@@ -132,7 +123,7 @@ func opIndex(op byte) int {
 	return 0
 }
 
-// exec is the instrumented request executor both cores call instead of
+// exec is the instrumented request executor the reader calls instead of
 // connState.handle: strip the trace envelope, arm the request's trace
 // context, count, time, execute, classify the response status, and leave
 // the server-side span (plus the slow-request log line when the request

@@ -2,17 +2,11 @@
 // the length-prefixed binary protocol of internal/wire over any Store (the
 // in-memory or durable sharded jiffy frontends).
 //
-// The server has two interchangeable cores sharing one protocol engine
-// (state.go). The default event-loop core (loop.go, flush.go) runs N
-// sharded event loops: an acceptor distributes connections round-robin,
-// each loop multiplexes its share through readiness polling
-// (internal/netpoll — epoll on Linux), reads request bytes in bulk,
-// executes complete frames inline on the store's lock-free paths, and
-// coalesces responses into batched writev flushes. The goroutine core
-// (conn.go) runs a reader and a coalescing writer goroutine per
-// connection; it is the portable fallback where netpoll is unsupported and
-// the parity baseline everywhere else. Options.Mode (or the
-// JIFFY_SERVE_MODE environment variable) selects.
+// Each connection runs a reader goroutine, which decodes request frames
+// and executes them inline against the store through the protocol engine
+// (state.go), and a writer goroutine, which coalesces the responses into
+// as few socket writes as possible (conn.go). Output backpressure pauses
+// the reader of a client that stops consuming responses.
 //
 // Requests on one connection execute in arrival order (responses are
 // matched by id, so clients need not rely on it); requests on different
@@ -33,76 +27,24 @@ package server
 
 import (
 	"cmp"
-	"errors"
 	"log/slog"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/netpoll"
 	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/wire"
 	"repro/jiffy/durable"
 )
 
-// ErrServerClosed is returned when a connection arrives at a server that
-// has begun shutting down.
-var ErrServerClosed = errors.New("server: closed")
+// Mode names the serving core. There is only one, the
+// goroutine-per-connection core; the type and Server.Mode stay so the
+// benchmark's environment header can keep recording it.
+type Mode struct{}
 
-// Mode selects a serving core.
-type Mode int
-
-const (
-	// ModeAuto resolves through the JIFFY_SERVE_MODE environment variable
-	// ("eventloop" or "goroutine"); unset or unrecognized, it means
-	// ModeEventLoop where netpoll is supported and ModeGoroutine elsewhere.
-	ModeAuto Mode = iota
-	// ModeEventLoop serves with N sharded event loops (loop.go). Falls
-	// back to ModeGoroutine where netpoll is unsupported.
-	ModeEventLoop
-	// ModeGoroutine serves with two goroutines per connection (conn.go).
-	ModeGoroutine
-)
-
-func (m Mode) String() string {
-	switch m {
-	case ModeEventLoop:
-		return "eventloop"
-	case ModeGoroutine:
-		return "goroutine"
-	}
-	return "auto"
-}
-
-// ParseMode maps a mode name ("auto", "eventloop", "goroutine") to its
-// Mode. Unrecognized names mean ModeAuto.
-func ParseMode(s string) Mode {
-	switch s {
-	case "eventloop", "event-loop", "loop":
-		return ModeEventLoop
-	case "goroutine", "goroutines", "threaded":
-		return ModeGoroutine
-	}
-	return ModeAuto
-}
-
-// resolve turns a Mode into the concrete core to run, consulting the
-// environment for ModeAuto and the platform for event-loop support.
-func (m Mode) resolve() Mode {
-	if m == ModeAuto {
-		m = ParseMode(os.Getenv("JIFFY_SERVE_MODE"))
-		if m == ModeAuto {
-			m = ModeEventLoop
-		}
-	}
-	if m == ModeEventLoop && !netpoll.Supported() {
-		m = ModeGoroutine
-	}
-	return m
-}
+func (Mode) String() string { return "goroutine" }
 
 // Options tunes a Server. The zero value selects defaults.
 type Options struct {
@@ -115,13 +57,6 @@ type Options struct {
 	// (default 4096): a page must fit one response frame and one
 	// iterator hold.
 	MaxScanPage int
-
-	// Mode selects the serving core; see Mode. Default ModeAuto.
-	Mode Mode
-
-	// Loops is the number of event loops in ModeEventLoop (default
-	// GOMAXPROCS, capped at 8). Ignored by ModeGoroutine.
-	Loops int
 
 	// Logf, when non-nil, receives connection-level diagnostics
 	// (accept/teardown errors, reaper activity). The data path never logs.
@@ -166,7 +101,7 @@ type Options struct {
 	OnPeerEpoch func(epoch int64)
 
 	// Tracer, when non-nil, receives a span per request at the exec seam
-	// (plus flush spans from both cores) and is threaded into store
+	// (plus batch-level flush spans) and is threaded into store
 	// writes for WAL attribution; see internal/trace. Nil disables
 	// tracing entirely — the cost is one predicted branch per request.
 	Tracer *trace.Recorder
@@ -196,15 +131,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// serverConn is a registered connection of either core, as the server's
-// registry, reaper and Close see it.
-type serverConn interface {
-	sever() // request asynchronous teardown
-	// reapSessions closes sessions idle since before deadline and
-	// reports how many it closed.
-	reapSessions(deadline int64) int
-}
-
 // Server serves one Store over one listener. Create it with Serve; stop it
 // with Close.
 type Server[K cmp.Ordered, V any] struct {
@@ -212,19 +138,17 @@ type Server[K cmp.Ordered, V any] struct {
 	codec   durable.Codec[K, V]
 	opts    Options
 	ln      net.Listener
-	mode    Mode
 	metrics *metrics
-	loops   []*loop[K, V] // event-loop core only
 
 	readOnly atomic.Bool
 	fenced   atomic.Bool
 
 	mu     sync.Mutex
-	conns  map[serverConn]struct{}
+	conns  map[*conn[K, V]]struct{}
 	closed bool
 
 	stopReaper chan struct{}
-	wg         sync.WaitGroup // accept loop + reaper + per-conn goroutines or event loops
+	wg         sync.WaitGroup // accept loop + reaper + per-conn goroutines
 }
 
 // Serve starts serving store on ln with codec translating keys and values
@@ -236,7 +160,7 @@ func Serve[K cmp.Ordered, V any](ln net.Listener, store Store[K, V], codec durab
 		codec:      codec,
 		opts:       opts.withDefaults(),
 		ln:         ln,
-		conns:      map[serverConn]struct{}{},
+		conns:      map[*conn[K, V]]struct{}{},
 		stopReaper: make(chan struct{}),
 	}
 	reg := s.opts.Registry
@@ -245,23 +169,14 @@ func Serve[K cmp.Ordered, V any](ln net.Listener, store Store[K, V], codec durab
 	}
 	s.metrics = newMetrics(reg)
 	s.readOnly.Store(s.opts.ReadOnly)
-	s.mode = s.opts.Mode.resolve()
-	if s.mode == ModeEventLoop {
-		if err := s.startLoops(); err != nil {
-			// Poller setup failed (fd exhaustion, seccomp): fall back to
-			// the portable core rather than refuse to serve.
-			s.logf("jiffyd: event loops unavailable (%v), serving with goroutine core", err)
-			s.mode = ModeGoroutine
-		}
-	}
 	s.wg.Add(2)
 	go s.acceptLoop()
 	go s.reapLoop()
 	return s
 }
 
-// Mode reports the serving core actually in use (never ModeAuto).
-func (s *Server[K, V]) Mode() Mode { return s.mode }
+// Mode reports the serving core.
+func (s *Server[K, V]) Mode() Mode { return Mode{} }
 
 // SetReadOnly flips whether writes answer StatusReadOnly. Promotion
 // calls SetReadOnly(false) after the store accepts writes; requests
@@ -319,10 +234,7 @@ func (s *Server[K, V]) Close() error {
 		return nil
 	}
 	s.closed = true
-	conns := make([]serverConn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
+	conns := s.liveConns()
 	s.mu.Unlock()
 
 	err := s.ln.Close()
@@ -330,24 +242,21 @@ func (s *Server[K, V]) Close() error {
 	for _, c := range conns {
 		c.sever()
 	}
-	// Wake every loop so it observes closing() and shuts down even with
-	// no connections registered.
-	for _, l := range s.loops {
-		l.p.Wake()
-	}
 	s.wg.Wait()
 	return err
 }
 
-// closing reports whether Close has begun.
-func (s *Server[K, V]) closing() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
+// liveConns snapshots the registered connections. Caller holds mu.
+func (s *Server[K, V]) liveConns() []*conn[K, V] {
+	conns := make([]*conn[K, V], 0, len(s.conns))
+	for c := range s.conns {
+		conns = append(conns, c)
+	}
+	return conns
 }
 
 // forget removes a torn-down connection from the registry.
-func (s *Server[K, V]) forget(c serverConn) {
+func (s *Server[K, V]) forget(c *conn[K, V]) {
 	s.mu.Lock()
 	delete(s.conns, c)
 	s.mu.Unlock()
@@ -376,15 +285,12 @@ func (s *Server[K, V]) reapLoop() {
 		case <-t.C:
 		}
 		s.mu.Lock()
-		conns := make([]serverConn, 0, len(s.conns))
-		for c := range s.conns {
-			conns = append(conns, c)
-		}
+		conns := s.liveConns()
 		s.mu.Unlock()
 		deadline := time.Now().Add(-s.opts.SnapTTL).UnixNano()
 		reaped := 0
 		for _, c := range conns {
-			reaped += c.reapSessions(deadline)
+			reaped += c.st.reapSessions(deadline)
 		}
 		if reaped > 0 {
 			s.metrics.sessionsReaped.Add(uint64(reaped))

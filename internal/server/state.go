@@ -23,18 +23,15 @@ type session[K cmp.Ordered, V any] struct {
 
 func (s *session[K, V]) touch() { s.lastUsed.Store(time.Now().UnixNano()) }
 
-// connState is the protocol engine shared by both server cores: the
-// session table, the per-connection scratch buffers, and the request
-// handlers. Handlers append their encoded response frame onto the dst
-// slice they are given and return the extended slice — the goroutine core
-// hands them a pooled buffer per request, the event-loop core its
-// connection's coalescing output chunk, so execution is identical and only
-// the I/O framing around it differs.
+// connState is the protocol engine: the session table, the
+// per-connection scratch buffers, and the request handlers. Handlers
+// append their encoded response frame onto the dst slice they are given
+// (a pooled buffer per request) and return the extended slice.
 //
 // Exactly one goroutine executes handlers for a given connection at a
-// time (the conn's reader, or its event loop), so the scratch fields need
-// no locks. The session table is additionally touched by the TTL reaper
-// and by teardown, hence smu.
+// time (the conn's reader), so the scratch fields need no locks. The
+// session table is additionally touched by the TTL reaper and by
+// teardown, hence smu.
 type connState[K cmp.Ordered, V any] struct {
 	srv *Server[K, V]
 
@@ -59,20 +56,9 @@ type connState[K cmp.Ordered, V any] struct {
 	tctx trace.Ctx
 }
 
-// closeSessions closes every session (connection teardown).
-func (st *connState[K, V]) closeSessions() {
-	st.smu.Lock()
-	closed := len(st.sess)
-	for id, sess := range st.sess {
-		delete(st.sess, id)
-		sess.snap.Close()
-	}
-	st.smu.Unlock()
-	st.srv.metrics.sessionsOpen.Add(-int64(closed))
-}
-
 // reapSessions closes sessions idle since before deadline (unix nanos),
-// reporting how many it closed.
+// reporting how many it closed. Teardown passes math.MaxInt64 to close
+// them all.
 func (st *connState[K, V]) reapSessions(deadline int64) int {
 	st.smu.Lock()
 	reaped := 0

@@ -56,9 +56,8 @@ const (
 	// StageFsync is one group-commit fsync at the WAL leader (trace ID 0:
 	// a batch serves many requests; Extra carries the batch byte count).
 	StageFsync
-	// StageFlush is one response flush write — a writev (event-loop core)
-	// or a coalesced write (goroutine core); trace ID 0, Extra carries
-	// the flushed byte count.
+	// StageFlush is one coalesced response flush write; trace ID 0,
+	// Extra carries the flushed byte count.
 	StageFlush
 	// StageReplStream is replication streaming: from a record's publish
 	// into the tap to its batch frame being written to one subscriber.
